@@ -5,8 +5,9 @@ Builds a Figure-7-style archive (real C-SGS output from the STT-like
 matching bench) and serves a fixed panel of matching queries three
 ways:
 
-* **exhaustive** — cluster-feature distance + cell-level match over
-  every archived pattern (the oracle the engine must agree with);
+* **exhaustive** — cluster-feature distance + cell-level match (under
+  the exact best alignment) over every archived pattern (the oracle
+  the engine must agree with);
 * **engine** — the planner-driven filter-and-refine path
   (``coarse_level=0``);
 * **engine+coarse** — the same with the multi-resolution coarse entry
@@ -41,7 +42,7 @@ from repro.core.csgs import CSGS
 from repro.core.features import ClusterFeatures
 from repro.core.sgs import SGS
 from repro.eval.harness import Table, fmt_seconds
-from repro.matching.alignment import anytime_alignment_search
+from repro.matching.alignment import best_alignment
 from repro.matching.metric import DistanceMetricSpec, cluster_feature_distance
 from repro.retrieval import MatchEngine, MatchQuery
 from repro.retrieval.inverted import canonical_cell_signature
@@ -135,9 +136,7 @@ def _run_exhaustive(base, query_sgs, threshold, spec):
         )
         if coarse > threshold:
             continue
-        distance = anytime_alignment_search(
-            query_sgs, pattern.sgs, spec, max_expansions=32
-        ).distance
+        distance = best_alignment(query_sgs, pattern.sgs, spec).distance
         if distance <= threshold:
             results.append((pattern.pattern_id, round(distance, 12)))
     results.sort(key=lambda item: (item[1], item[0]))

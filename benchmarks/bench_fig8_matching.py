@@ -227,11 +227,7 @@ def _time_queries(fn, queries) -> float:
 
 def _sgs_query_time(size: int, collect_stats=None) -> float:
     state = _setup()
-    analyzer = PatternAnalyzer(
-        state["bases"][size],
-        DistanceMetricSpec(),
-        max_alignment_expansions=6,
-    )
+    analyzer = PatternAnalyzer(state["bases"][size], DistanceMetricSpec())
     queries = [sgs for _, sgs in state["queries"]]
     if size == max(ARCHIVE_SIZES):
         queries = queries[:3]

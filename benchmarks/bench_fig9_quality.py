@@ -74,9 +74,7 @@ def _setup():
     for cluster, sgs in archive:
         pattern = base.add(sgs, cluster.size)
         pattern_to_cluster[pattern.pattern_id] = cluster
-    analyzer = PatternAnalyzer(
-        base, DistanceMetricSpec(), max_alignment_expansions=16
-    )
+    analyzer = PatternAnalyzer(base, DistanceMetricSpec())
 
     archived_crd = [crd_sum.summarize(c) for c, _ in archive]
     archived_rsp = [rsp_sum.summarize(c) for c, _ in archive]

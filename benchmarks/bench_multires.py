@@ -61,9 +61,7 @@ def _setup():
         for cluster, sgs in archive:
             pattern = archiver.archive_sgs(sgs, cluster.size)
             pattern_to_cluster[pattern.pattern_id] = cluster
-        analyzer = PatternAnalyzer(
-            base, DistanceMetricSpec(), max_alignment_expansions=16
-        )
+        analyzer = PatternAnalyzer(base, DistanceMetricSpec())
         levels[level] = (base, analyzer, pattern_to_cluster)
     _state.update(levels=levels, queries=queries)
     return _state

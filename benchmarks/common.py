@@ -1,7 +1,7 @@
 """Shared machinery for the benchmark suite.
 
-Each bench file regenerates one paper artifact (see DESIGN.md's
-per-experiment index). Workloads are scaled down from the paper's sizes
+Each bench file regenerates one paper artifact (its module docstring
+names which). Workloads are scaled down from the paper's sizes
 so the whole suite runs in minutes of pure Python; the *shapes* —
 method orderings, growth trends, crossovers — are what we reproduce.
 Tables are printed through ``report()`` (bypassing pytest capture) so

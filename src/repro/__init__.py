@@ -55,7 +55,7 @@ from repro.core.sgs import SGS
 from repro.data.gmti import GMTIStream
 from repro.data.stt import STTStream
 from repro.data.synthetic import DriftingBlobStream
-from repro.matching.alignment import anytime_alignment_search
+from repro.matching.alignment import best_alignment
 from repro.matching.cell_match import cell_level_distance
 from repro.matching.metric import DistanceMetricSpec, cluster_feature_distance
 from repro.streams.objects import StreamObject
@@ -136,7 +136,7 @@ __all__ = [
     "SharedCSGS",
     "TrackEvent",
     "TrackedCluster",
-    "anytime_alignment_search",
+    "best_alignment",
     "cell_level_distance",
     "cluster_feature_distance",
     "coarsen_sgs",

@@ -8,7 +8,7 @@ Section 7.2's two-phase execution:
    bounds derived from the distance threshold and weights. Candidates
    are then screened by the cheap cluster-level feature distance.
 2. **Refine** — only candidates surviving the filter get the expensive
-   grid-cell-level match (with the anytime alignment search in the
+   grid-cell-level match (under the exact best alignment in the
    non-position-sensitive case); those within the threshold are returned,
    closest first.
 
@@ -71,7 +71,6 @@ class PatternAnalyzer:
         self,
         base: PatternBase,
         spec: Optional[DistanceMetricSpec] = None,
-        max_alignment_expansions: int = 32,
         coarse_level: int = 0,
         engine=None,
     ):
@@ -95,7 +94,6 @@ class PatternAnalyzer:
             engine = engine_cls(
                 base,
                 spec=spec,
-                max_alignment_expansions=max_alignment_expansions,
                 coarse_level=coarse_level,
             )
         self.engine = engine
@@ -103,10 +101,6 @@ class PatternAnalyzer:
     @property
     def spec(self) -> DistanceMetricSpec:
         return self.engine.spec
-
-    @property
-    def max_alignment_expansions(self) -> int:
-        return self.engine.max_alignment_expansions
 
     def match(
         self,

@@ -477,7 +477,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
         f"archive {len(base)}: plan entry={stats.entry}{shard_note} "
         f"gathered={stats.gathered} screened={stats.screened} "
         f"coarse_rejected={stats.coarse_rejected} "
-        f"refined={stats.refined} matches={stats.matches}"
+        f"refined={stats.refined} cell_pairs={stats.cell_pairs} "
+        f"matches={stats.matches}"
     )
     for rank, result in enumerate(results, start=1):
         print(

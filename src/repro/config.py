@@ -59,9 +59,8 @@ class ContinuousClusteringQuery:
     refinement: str = "auto"
     #: Matching-engine configuration threaded to the system's
     #: :class:`~repro.retrieval.engine.MatchEngine` (coarse entry level
-    #: of the multi-resolution refiner; alignment-search budget).
+    #: of the multi-resolution refiner).
     match_coarse_level: int = 0
-    match_max_expansions: int = 32
     #: Archive partitioning for the serving side: number of shards and
     #: the partition key (``window`` / ``feature``).
     match_shards: int = 1
@@ -95,8 +94,6 @@ class ContinuousClusteringQuery:
             raise ValueError("dimensions must be at least 1")
         if self.match_coarse_level < 0:
             raise ValueError("match_coarse_level must be non-negative")
-        if self.match_max_expansions < 1:
-            raise ValueError("match_max_expansions must be positive")
         if self.match_shards < 1:
             raise ValueError("match_shards must be positive")
         validate_partition_key(self.match_shard_key)

@@ -1,6 +1,6 @@
 """Cluster matching: distance metrics, alignment search, baseline matchers."""
 
-from repro.matching.alignment import AlignmentResult, anytime_alignment_search
+from repro.matching.alignment import AlignmentResult, best_alignment
 from repro.matching.cell_match import cell_level_distance
 from repro.matching.crd_match import crd_distance
 from repro.matching.graph_edit import graph_edit_distance
@@ -15,7 +15,7 @@ from repro.matching.subset_match import subset_match_distance
 __all__ = [
     "AlignmentResult",
     "DistanceMetricSpec",
-    "anytime_alignment_search",
+    "best_alignment",
     "cell_level_distance",
     "cluster_feature_distance",
     "crd_distance",

@@ -15,6 +15,7 @@ complexity claim.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.cells import Coord, SkeletalGridCell
@@ -35,20 +36,6 @@ def _cell_feature_weights(spec: DistanceMetricSpec) -> Tuple[float, float, float
     return tuple(weight / total for weight in weights)  # type: ignore[return-value]
 
 
-def _connection_difference(
-    cell_a: SkeletalGridCell, cell_b: SkeletalGridCell, shift: Coord
-) -> float:
-    """Jaccard distance between the (shift-normalized) connection sets."""
-    conn_a = {
-        tuple(c + s for c, s in zip(coord, shift)) for coord in cell_a.connections
-    }
-    conn_b = set(cell_b.connections)
-    if not conn_a and not conn_b:
-        return 0.0
-    union = conn_a | conn_b
-    return 1.0 - len(conn_a & conn_b) / len(union)
-
-
 def _pair_difference(
     cell_a: SkeletalGridCell,
     cell_b: SkeletalGridCell,
@@ -60,7 +47,12 @@ def _pair_difference(
     density_diff = relative_difference(
         float(cell_a.population), float(cell_b.population)
     )
-    connectivity_diff = _connection_difference(cell_a, cell_b, shift)
+    # Jaccard distance between the (shift-normalized) connection sets.
+    conn_a = {tuple(map(add, coord, shift)) for coord in cell_a.connections}
+    union = len(conn_a | cell_b.connections)
+    connectivity_diff = (
+        1.0 - len(conn_a & cell_b.connections) / union if union else 0.0
+    )
     return (
         status_weight * status_diff
         + density_weight * density_diff

@@ -14,21 +14,19 @@ filter-and-refine ladder, cheapest predicate first:
    at a coarser rung of the multi-resolution ladder (Section 6.1),
    built lazily per pattern and cached across queries; candidates whose
    coarse distance exceeds ``threshold + coarse_margin`` are rejected
-   without ever touching their full stored cells. Position-insensitive
-   screening coarsens *canonicalized* forms (:func:`canonical_origin`)
-   so that translated near-duplicates coarsen in phase. The margin keeps the
-   screen conservative — coarsening smooths cell structure, so a
-   coarse distance is an estimate, not a bound; the margin absorbs
-   that estimation error (the oracle equivalence suite pins that the
-   default margin drops nothing on seeded archives; ``margin >= 1``
-   makes the screen vacuous and hence exact by construction). The
-   screen also stands down for candidates whose coarse form shrinks
-   below ``min_coarse_cells`` — a 1–4 cell summary estimates too
-   noisily to reject on, and refines for pennies.
-5. **Refine** — the expensive stored-resolution cell-level match
-   (:mod:`repro.matching.cell_match`, through the anytime alignment
-   search when position-insensitive); survivors within the threshold
-   are returned closest-first.
+   without touching their stored cells. Position-insensitive screening
+   coarsens *canonicalized* forms (:func:`canonical_origin`) so that
+   translated near-duplicates coarsen in phase. Coarsening smooths cell
+   structure, so a coarse distance is an estimate, not a bound: the
+   margin absorbs that error (the oracle equivalence suite pins that the
+   default drops nothing; ``margin >= 1`` makes the screen vacuous).
+   Candidates whose coarse form has fewer than ``min_coarse_cells``
+   cells estimate too noisily to reject on, and skip the screen.
+5. **Refine** — the stored-resolution cell-level match
+   (:mod:`repro.matching.cell_match`) under the exact best alignment,
+   found by one join over the query × pattern cell pairs
+   (:func:`~repro.matching.alignment.best_alignment`); survivors within
+   the threshold are returned closest-first.
 
 When the Pattern Base carries an inverted cell-signature index
 (:mod:`repro.retrieval.inverted`) covering the query's coarse level,
@@ -57,8 +55,7 @@ from repro.core.features import ClusterFeatures
 from repro.core.multires import coarsen_sgs
 from repro.core.sgs import SGS
 from repro.geometry.mbr import MBR
-from repro.matching.alignment import anytime_alignment_search
-from repro.matching.cell_match import cell_level_distance
+from repro.matching.alignment import best_alignment
 from repro.matching.metric import DistanceMetricSpec, cluster_feature_distance
 from repro.retrieval import planner
 from repro.retrieval.inverted import InvertedScreen, canonical_origin
@@ -146,6 +143,9 @@ class EngineStats:
     #: entry for this query).
     coarse_screen: str = ""
     refined: int = 0
+    #: Cell pairs joined by the alignment search (refine and ladder
+    #: screen alike); position-sensitive matches join none.
+    cell_pairs: int = 0
     matches: int = 0
 
     @property
@@ -175,6 +175,7 @@ class EngineStats:
             "coarse_fast_accepted": self.coarse_fast_accepted,
             "coarse_screen": self.coarse_screen,
             "refined": self.refined,
+            "cell_pairs": self.cell_pairs,
             "matches": self.matches,
         }
 
@@ -183,10 +184,9 @@ class MatchEngine:
     """Filter-and-refine retrieval over one Pattern Base.
 
     ``coarse_level`` / ``coarse_margin`` set the default multi-
-    resolution entry (a query's own ``coarse_level`` wins when set);
-    ``max_alignment_expansions`` budgets the anytime alignment search at
-    the stored level, ``coarse_expansions`` at coarse rungs (coarse
-    SGS are small, so a reduced budget suffices). Per-pattern ladders
+    resolution entry (a query's own ``coarse_level`` wins when set).
+    Cell-level distances are exact at every level (see
+    :func:`~repro.matching.alignment.best_alignment`). Per-pattern ladders
     are built lazily and cached across queries; each build is recorded
     in the pattern's ``ladder_hint`` so a persisted archive (format v2)
     can re-warm the cache after reload via :meth:`warm_ladders`.
@@ -196,15 +196,12 @@ class MatchEngine:
         self,
         base: PatternBase,
         spec: Optional[DistanceMetricSpec] = None,
-        max_alignment_expansions: int = 32,
         coarse_level: int = 0,
         coarse_margin: float = DEFAULT_COARSE_MARGIN,
         ladder_factor: int = DEFAULT_LADDER_FACTOR,
         min_coarse_cells: int = MIN_COARSE_CELLS,
         use_inverted: bool = True,
     ):
-        if max_alignment_expansions < 1:
-            raise ValueError("max_alignment_expansions must be positive")
         if coarse_level < 0:
             raise ValueError("coarse_level must be non-negative")
         if coarse_margin < 0:
@@ -213,7 +210,6 @@ class MatchEngine:
             raise ValueError("ladder_factor must be at least 2")
         self.base = base
         self.spec = spec if spec is not None else DistanceMetricSpec()
-        self.max_alignment_expansions = int(max_alignment_expansions)
         self.coarse_level = int(coarse_level)
         self.coarse_margin = float(coarse_margin)
         self.ladder_factor = int(ladder_factor)
@@ -222,7 +218,6 @@ class MatchEngine:
         #: index on the base and always screens through the lazy
         #: ladder — the A/B escape hatch the benchmarks compare.
         self.use_inverted = bool(use_inverted)
-        self.coarse_expansions = max(8, self.max_alignment_expansions // 2)
         #: Ladder cache keyed ``(pattern_id, canonical)``: position-
         #: insensitive screens use the canonical-origin phase (see
         #: :func:`canonical_origin`), position-sensitive ones the raw
@@ -356,18 +351,23 @@ class MatchEngine:
             self.min_coarse_cells,
         )
 
-    def match(
-        self, query: MatchQuery
-    ) -> Tuple[List[MatchResult], EngineStats]:
-        """Execute one matching query; returns (results, stats) with
-        results sorted by (distance, pattern_id) and cut to ``top_k``."""
-        self._maybe_prune_ladders()
+    def _prepare(self, query: MatchQuery) -> tuple:
+        """The query's features, MBR, plan and inverted screen."""
         features = ClusterFeatures.from_sgs(query.sgs)
         mbr = query.sgs.mbr()
         screen = self._inverted_screen_for(query)
         plan = planner.plan_query(
             self.base, query, features, mbr, inverted=screen is not None
         )
+        return query, features, mbr, plan, screen
+
+    def match(
+        self, query: MatchQuery
+    ) -> Tuple[List[MatchResult], EngineStats]:
+        """Execute one matching query; returns (results, stats) with
+        results sorted by (distance, pattern_id) and cut to ``top_k``."""
+        self._maybe_prune_ladders()
+        _, features, mbr, plan, screen = self._prepare(query)
         if plan.entry == planner.ENTRY_INVERTED:
             candidates = screen.survivors(self.base)
         else:
@@ -418,15 +418,7 @@ class MatchEngine:
         archive walk.
         """
         self._maybe_prune_ladders()
-        prepared = []
-        for query in queries:
-            features = ClusterFeatures.from_sgs(query.sgs)
-            mbr = query.sgs.mbr()
-            screen = self._inverted_screen_for(query)
-            plan = planner.plan_query(
-                self.base, query, features, mbr, inverted=screen is not None
-            )
-            prepared.append((query, features, mbr, plan, screen))
+        prepared = [self._prepare(query) for query in queries]
 
         groups: Dict[str, List[int]] = {}
         for i, entry_plan in enumerate(prepared):
@@ -493,21 +485,16 @@ class MatchEngine:
             ladder.append(coarsen_sgs(ladder[-1], self.ladder_factor))
         return ladder
 
+    @staticmethod
     def _cell_distance(
-        self,
         query_sgs: SGS,
         pattern_sgs: SGS,
         spec: DistanceMetricSpec,
-        expansions: int,
+        stats: EngineStats,
     ) -> Tuple[float, tuple]:
-        if spec.position_sensitive:
-            return (
-                cell_level_distance(query_sgs, pattern_sgs, spec, None),
-                (0,) * query_sgs.dimensions,
-            )
-        search = anytime_alignment_search(
-            query_sgs, pattern_sgs, spec, max_expansions=expansions
-        )
+        if not spec.position_sensitive:
+            stats.cell_pairs += len(query_sgs) * len(pattern_sgs)
+        search = best_alignment(query_sgs, pattern_sgs, spec)
         return search.distance, search.alignment
 
     def _refine(
@@ -559,20 +546,14 @@ class MatchEngine:
                 ):
                     stats.coarse_evaluated += 1
                     coarse_distance, _ = self._cell_distance(
-                        coarse_query,
-                        coarse_pattern,
-                        spec,
-                        self.coarse_expansions,
+                        coarse_query, coarse_pattern, spec, stats
                     )
                     if coarse_distance > threshold + self.coarse_margin:
                         stats.coarse_rejected += 1
                         continue
             stats.refined += 1
             distance, alignment = self._cell_distance(
-                query.sgs,
-                pattern.sgs,
-                spec,
-                self.max_alignment_expansions,
+                query.sgs, pattern.sgs, spec, stats
             )
             if distance <= threshold:
                 results.append(MatchResult(pattern, distance, alignment))

@@ -31,8 +31,8 @@ satisfies::
 exactly 1, and the total is divided by ``a + b - m`` compared
 positions). The bound is decreasing in ``m``, so any upper bound ``M``
 on the overlap achievable under *any* alignment certifies a lower
-bound on the distance under every alignment the anytime search could
-ever return. Two overlap bounds are used, cheapest first:
+bound on the distance under every alignment, the best one included.
+Two overlap bounds are used, cheapest first:
 
 * the posting-list counter ``m0`` (overlap at the canonical alignment,
   accumulated for all candidates in one pass over the query's posting
@@ -46,8 +46,8 @@ ever return. Two overlap bounds are used, cheapest first:
 
 A pattern is rejected only when the certified floor exceeds
 ``threshold + coarse_margin`` — therefore **every pattern the ladder
-screen keeps, this screen keeps** (the ladder's anytime distance is at
-least the true minimum, which is at least the floor), pinned by the
+screen keeps, this screen keeps** (the ladder's exact best-alignment
+distance is at least the floor), pinned by the
 Hypothesis property suite. The ``min_coarse_cells`` stand-down of the
 ladder screen is mirrored verbatim.
 """

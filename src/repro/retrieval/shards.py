@@ -486,7 +486,6 @@ class ShardedMatchEngine:
         self,
         base: ShardedPatternBase,
         spec: Optional[DistanceMetricSpec] = None,
-        max_alignment_expansions: int = 32,
         coarse_level: int = 0,
         coarse_margin: float = DEFAULT_COARSE_MARGIN,
         ladder_factor: int = DEFAULT_LADDER_FACTOR,
@@ -509,7 +508,6 @@ class ShardedMatchEngine:
             MatchEngine(
                 shard,
                 spec=spec,
-                max_alignment_expansions=max_alignment_expansions,
                 coarse_level=coarse_level,
                 coarse_margin=coarse_margin,
                 ladder_factor=ladder_factor,
@@ -520,9 +518,6 @@ class ShardedMatchEngine:
         ]
         self.spec = self.engines[0].spec
         self.coarse_level = self.engines[0].coarse_level
-        self.max_alignment_expansions = (
-            self.engines[0].max_alignment_expansions
-        )
         if max_workers is None:
             max_workers = len(self.engines)
         self.max_workers = max(0, int(max_workers))
@@ -542,7 +537,6 @@ class ShardedMatchEngine:
                         "position_sensitive": self.spec.position_sensitive,
                         "weights": dict(self.spec.weights),
                     },
-                    "max_alignment_expansions": max_alignment_expansions,
                     "coarse_level": coarse_level,
                     "coarse_margin": coarse_margin,
                     "ladder_factor": ladder_factor,

@@ -239,7 +239,6 @@ def _worker_main(dump_path, config, request_queue, response_queue):
     engine = MatchEngine(
         base,
         spec=metric_from_wire(config["metric"]),
-        max_alignment_expansions=config["max_alignment_expansions"],
         coarse_level=config["coarse_level"],
         coarse_margin=config["coarse_margin"],
         ladder_factor=config["ladder_factor"],

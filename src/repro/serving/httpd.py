@@ -55,6 +55,10 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket: a reply goes out as two
+    #: writes (headers, then body), and Nagle's algorithm would hold the
+    #: body back until the client's delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
     #: Class attributes, not module constants, so deployments (and the
     #: regression tests) can tighten them per handler.
     max_body_bytes = MAX_BODY_BYTES

@@ -57,6 +57,7 @@ def merge_shard_results(
         merged.coarse_rejected += stats.coarse_rejected
         merged.coarse_fast_accepted += stats.coarse_fast_accepted
         merged.refined += stats.refined
+        merged.cell_pairs += stats.cell_pairs
         merged.matches += stats.matches
     screens = {s.coarse_screen for _, s in per_shard if s.coarse_screen}
     if screens:

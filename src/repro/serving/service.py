@@ -13,7 +13,8 @@ request/response methods:
   executor's shard copy, e.g. a process worker's hydrated replica);
 * ``match``     — one Cluster Matching Query;
 * ``match_many``— a batch, one shared per-shard gather;
-* ``stats``     — archive/serving configuration plus request counters;
+* ``stats``     — archive/serving configuration, request counters and
+  the engine work (refined patterns, joined cell pairs) they cost;
 * ``healthz``   — liveness.
 
 The service also fronts the query-multiplexing subsystem
@@ -77,7 +78,6 @@ class MatchService:
         spec: Optional[DistanceMetricSpec] = None,
         mode: Optional[str] = None,
         coarse_level: int = 0,
-        max_alignment_expansions: int = 32,
         replicas: int = 1,
     ):
         self.base = base
@@ -85,7 +85,6 @@ class MatchService:
             base,
             spec=spec,
             coarse_level=coarse_level,
-            max_alignment_expansions=max_alignment_expansions,
             mode=mode,
             replicas=replicas,
         )
@@ -99,6 +98,8 @@ class MatchService:
             "unregister_query": 0,
             "stream": 0,
         }
+        #: Engine work summed over every answered query.
+        self._work = {"refined": 0, "cell_pairs": 0}
         # The multiplexing front: created lazily by the first
         # register_query (its payload fixes the dimensionality).
         self._scheduler: Optional[SlideScheduler] = None
@@ -113,7 +114,6 @@ class MatchService:
         spec: Optional[DistanceMetricSpec] = None,
         mode: Optional[str] = None,
         coarse_level: int = 0,
-        max_alignment_expansions: int = 32,
         inverted_levels: Optional[Sequence[int]] = None,
         replicas: int = 1,
         store: Optional[str] = None,
@@ -166,7 +166,6 @@ class MatchService:
             spec=spec,
             mode=mode,
             coarse_level=coarse_level,
-            max_alignment_expansions=max_alignment_expansions,
             replicas=replicas,
         )
 
@@ -218,6 +217,8 @@ class MatchService:
             raise ServiceError(f"bad query: {error}") from None
 
     def _answer(self, results: List[MatchResult], stats: EngineStats):
+        self._work["refined"] += stats.refined
+        self._work["cell_pairs"] += stats.cell_pairs
         return {
             "results": [_result_to_dict(result) for result in results],
             "stats": stats_to_wire(stats),
@@ -470,6 +471,7 @@ class MatchService:
                 # path, hydration-cache telemetry for a disk store).
                 "store": self.base.store_info(),
                 "requests": dict(self._counters),
+                "work": dict(self._work),
                 # Per-query blocks and sharing structure of the
                 # multiplexed run, when one is active.
                 "multiplex": (

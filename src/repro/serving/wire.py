@@ -134,6 +134,7 @@ _STAT_COUNTERS: Tuple[str, ...] = (
     "coarse_rejected",
     "coarse_fast_accepted",
     "refined",
+    "cell_pairs",
     "matches",
 )
 

@@ -65,7 +65,6 @@ class StreamPatternMiningSystem:
         index_backend: Optional[str] = None,
         refinement: Optional[str] = None,
         match_coarse_level: Optional[int] = None,
-        match_max_expansions: Optional[int] = None,
         match_shards: Optional[int] = None,
         match_shard_key: Optional[str] = None,
         match_inverted_levels: Optional[Sequence[int]] = None,
@@ -115,9 +114,6 @@ class StreamPatternMiningSystem:
         # ShardedMatchEngine over a partitioned archive (with the
         # requested deployment mode — see repro.serving), a plain
         # MatchEngine otherwise.
-        expansions = (
-            32 if match_max_expansions is None else match_max_expansions
-        )
         coarse = 0 if match_coarse_level is None else match_coarse_level
         prebuilt = None
         archive_target = self.pattern_base
@@ -127,7 +123,6 @@ class StreamPatternMiningSystem:
             prebuilt = ShardedMatchEngine(
                 self.pattern_base,
                 spec=metric,
-                max_alignment_expansions=expansions,
                 coarse_level=coarse,
                 mode=match_mode,
                 replicas=replicas,
@@ -145,7 +140,6 @@ class StreamPatternMiningSystem:
         self.analyzer = PatternAnalyzer(
             self.pattern_base,
             metric,
-            max_alignment_expansions=expansions,
             coarse_level=coarse,
             engine=prebuilt,
         )
@@ -167,8 +161,8 @@ class StreamPatternMiningSystem:
 
         Consumes every field of the query — θr, θc, dimensions, window
         spec, ``index_backend``, ``refinement``, and the matching-engine
-        configuration (``match_coarse_level`` /
-        ``match_max_expansions``) — so both the extraction pipeline and
+        configuration (``match_coarse_level``, shards, mode, replicas,
+        inverted levels, store) — so both the extraction pipeline and
         the retrieval engine run exactly what the query declares.
         Remaining keyword arguments (metric, archive policy, …) pass
         through to the constructor; explicit non-None keywords override
@@ -178,7 +172,6 @@ class StreamPatternMiningSystem:
             "index_backend",
             "refinement",
             "match_coarse_level",
-            "match_max_expansions",
             "match_shards",
             "match_shard_key",
             "match_inverted_levels",
@@ -301,7 +294,6 @@ class MultiplexedMiningSystem:
         shared: bool = True,
         refinement: Optional[str] = None,
         match_coarse_level: Optional[int] = None,
-        match_max_expansions: Optional[int] = None,
         match_inverted_levels: Optional[Sequence[int]] = None,
         store: Optional[str] = None,
     ):
@@ -324,9 +316,6 @@ class MultiplexedMiningSystem:
         self.analyzer = PatternAnalyzer(
             self.pattern_base,
             metric,
-            max_alignment_expansions=(
-                32 if match_max_expansions is None else match_max_expansions
-            ),
             coarse_level=(
                 0 if match_coarse_level is None else match_coarse_level
             ),

@@ -19,7 +19,7 @@ from repro.archive.archiver import PatternArchiver
 from repro.archive.pattern_base import ArchivedPattern, PatternBase
 from repro.core.csgs import WindowOutput
 from repro.core.sgs import SGS
-from repro.matching.alignment import anytime_alignment_search
+from repro.matching.alignment import best_alignment
 from repro.matching.metric import DistanceMetricSpec
 from repro.tracking.tracker import ClusterTracker, TrackEvent
 
@@ -57,11 +57,9 @@ class EvolutionDrivenArchiver:
         last_window, last_sgs = snapshot
         if window - last_window >= self.max_gap:
             return True
-        # Drift means *structural* change: compare under the best small
+        # Drift means *structural* change: compare under the best
         # alignment so a cluster that merely moved is not re-archived.
-        distance = anytime_alignment_search(
-            sgs, last_sgs, self._spec, max_expansions=4
-        ).distance
+        distance = best_alignment(sgs, last_sgs, self._spec).distance
         return distance > self.drift_threshold
 
     def archive_output(self, output: WindowOutput) -> List[ArchivedPattern]:

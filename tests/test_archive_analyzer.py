@@ -7,7 +7,7 @@ from repro.archive.analyzer import PatternAnalyzer
 from repro.archive.archiver import PatternArchiver
 from repro.archive.pattern_base import PatternBase
 from repro.core.csgs import CSGS
-from repro.matching.alignment import anytime_alignment_search
+from repro.matching.alignment import best_alignment
 from repro.matching.metric import DistanceMetricSpec
 
 
@@ -92,9 +92,7 @@ def test_filter_never_drops_true_matches():
         )
         if coarse > threshold:
             continue
-        refined = anytime_alignment_search(
-            query, pattern.sgs, spec, max_expansions=32
-        ).distance
+        refined = best_alignment(query, pattern.sgs, spec).distance
         if refined <= threshold:
             assert pattern.pattern_id in found, (
                 f"pattern {pattern.pattern_id} (coarse {coarse}, refined "

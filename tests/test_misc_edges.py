@@ -5,7 +5,7 @@ import pytest
 from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.core.sgs import SGS
 from repro.eval.harness import print_series
-from repro.matching.alignment import anytime_alignment_search
+from repro.matching.alignment import best_alignment
 from repro.matching.metric import DistanceMetricSpec
 
 
@@ -19,8 +19,8 @@ def test_single_cell_sgs_matching():
     a = SGS([SkeletalGridCell((0, 0), 0.5, 5, CellStatus.CORE)], 0.5)
     b = SGS([SkeletalGridCell((9, 9), 0.5, 5, CellStatus.CORE)], 0.5)
     spec = DistanceMetricSpec()
-    result = anytime_alignment_search(a, b, spec)
-    assert result.distance == pytest.approx(0.0)
+    result = best_alignment(a, b, spec)
+    assert result.distance == 0.0
     assert result.alignment == (9, 9)
 
 

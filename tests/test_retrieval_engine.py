@@ -16,8 +16,7 @@ from repro.archive.archiver import PatternArchiver
 from repro.archive.pattern_base import PatternBase
 from repro.core.csgs import CSGS
 from repro.core.features import ClusterFeatures
-from repro.matching.alignment import anytime_alignment_search
-from repro.matching.cell_match import cell_level_distance
+from repro.matching.alignment import best_alignment
 from repro.matching.metric import DistanceMetricSpec, cluster_feature_distance
 from repro.retrieval import (
     ENTRY_FEATURE_GRID,
@@ -51,10 +50,10 @@ def _populated_base(seed=1, archive_level=0, byte_budget=None):
     return base, last_output
 
 
-def exhaustive_scan(base, query: MatchQuery, max_expansions=32):
+def exhaustive_scan(base, query: MatchQuery):
     """The trivially correct reference: every archived pattern gets the
     cluster-feature distance and (if within threshold) the cell-level
-    match — no index, no coarse entry."""
+    match under the exact best alignment — no index, no coarse entry."""
     features = ClusterFeatures.from_sgs(query.sgs)
     mbr = query.sgs.mbr()
     spec = query.metric
@@ -69,12 +68,7 @@ def exhaustive_scan(base, query: MatchQuery, max_expansions=32):
         )
         if coarse > query.threshold:
             continue
-        if spec.position_sensitive:
-            distance = cell_level_distance(query.sgs, pattern.sgs, spec, None)
-        else:
-            distance = anytime_alignment_search(
-                query.sgs, pattern.sgs, spec, max_expansions=max_expansions
-            ).distance
+        distance = best_alignment(query.sgs, pattern.sgs, spec).distance
         if distance <= query.threshold:
             results.append((pattern.pattern_id, distance))
     results.sort(key=lambda item: (item[1], item[0]))
@@ -149,6 +143,26 @@ def test_top_k_truncates_after_stats():
     )
     assert _as_pairs(top3) == _as_pairs(full)[:3]
     assert stats.matches == len(full)
+
+
+def test_cell_pairs_count_the_joined_pairs():
+    """At the stored level every refined candidate joins |query|·|pattern|
+    cell pairs; position-sensitive matching joins none."""
+    base, last = _populated_base(seed=2)
+    query_sgs = last.summaries[0]
+    engine = MatchEngine(base)
+    _, stats = engine.match(MatchQuery(sgs=query_sgs, threshold=1.0))
+    assert stats.refined == len(base)
+    assert stats.cell_pairs == sum(
+        len(query_sgs) * len(pattern.sgs) for pattern in base.all_patterns()
+    )
+    assert stats.as_dict()["cell_pairs"] == stats.cell_pairs
+    sensitive = DistanceMetricSpec(position_sensitive=True)
+    _, stats = engine.match(
+        MatchQuery(sgs=query_sgs, threshold=1.0, metric=sensitive)
+    )
+    assert stats.refined > 0
+    assert stats.cell_pairs == 0
 
 
 # ----------------------------------------------------------------------

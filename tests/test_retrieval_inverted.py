@@ -29,7 +29,7 @@ from repro.core.csgs import CSGS
 from repro.core.features import ClusterFeatures
 from repro.core.multires import coarsen_sgs
 from repro.core.sgs import SGS
-from repro.matching.alignment import anytime_alignment_search
+from repro.matching.alignment import best_alignment
 from repro.matching.metric import DistanceMetricSpec
 from repro.retrieval import (
     ENTRY_INVERTED,
@@ -142,10 +142,10 @@ _cell_sets = st.lists(_coord, min_size=1, max_size=24, unique=True)
 def test_certified_floor_never_exceeds_ladder_distance(
     locs_a, locs_b, level
 ):
-    """The screen's reject bound is a true lower bound on the coarse
-    distance the ladder screen computes (any alignment the anytime
-    search returns) — hence the inverted screen never drops a pattern
-    the ladder screen would keep."""
+    """The screen's reject bound is a true lower bound on the exact
+    coarse distance the ladder screen computes (the minimum over every
+    alignment) — hence the inverted screen never drops a pattern the
+    ladder screen would keep."""
     sgs_a = _sgs_from_locations(locs_a)
     sgs_b = _sgs_from_locations(locs_b)
     spec = DistanceMetricSpec()
@@ -154,9 +154,7 @@ def test_certified_floor_never_exceeds_ladder_distance(
     for _ in range(level):
         coarse_a = coarsen_sgs(coarse_a, 3)
         coarse_b = coarsen_sgs(coarse_b, 3)
-    ladder_distance = anytime_alignment_search(
-        coarse_a, coarse_b, spec, max_expansions=16
-    ).distance
+    ladder_distance = best_alignment(coarse_a, coarse_b, spec).distance
 
     index = InvertedCellIndex(levels=(level,), factor=3)
     index.add(7, sgs_b)

@@ -101,6 +101,7 @@ def test_healthz_and_stats(served):
     assert stats["mode"] == service.mode
     assert sum(stats["shard_sizes"]) == stats["archive_size"]
     assert stats["requests"]["queries"] == 0
+    assert stats["work"] == {"refined": 0, "cell_pairs": 0}
     # Replication keys are present even for the unreplicated serial
     # deployment, so dashboards can rely on the shape.
     assert stats["replicas"] == 1
@@ -165,6 +166,7 @@ def test_http_answers_equal_direct_engine(served, flat_base):
                 for r in expected
             ]
             assert answer["stats"]["matches"] == stats.matches
+            assert answer["stats"]["cell_pairs"] == stats.cell_pairs
             assert answer["stats"]["plan"]["entry"] == "sharded"
 
 
@@ -199,6 +201,30 @@ def test_match_many_and_ingest_roundtrip(served, flat_base):
     status, stats = client.get("/stats")
     assert stats["requests"]["ingest"] == 1
     assert stats["requests"]["queries"] == 2
+    # The joined cell pairs of both answers add up on /stats.
+    assert stats["work"]["cell_pairs"] == sum(
+        a["stats"]["cell_pairs"] for a in answer["answers"]
+    )
+    assert stats["work"]["cell_pairs"] > 0
+
+
+def test_accepted_connections_set_tcp_nodelay(served, monkeypatch):
+    """A reply leaves in two writes (headers, then body); with Nagle on,
+    the body waits for the client's delayed ACK (~40 ms a request)."""
+    client, _ = served
+    seen = []
+    original = MatchRequestHandler.setup
+
+    def setup(self):
+        original(self)
+        seen.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+
+    monkeypatch.setattr(MatchRequestHandler, "setup", setup)
+    status, _ = client.get("/healthz")
+    assert status == 200
+    assert seen and all(seen)
 
 
 def test_error_paths(served):
